@@ -1,11 +1,11 @@
 # Build and verification entry points. `make ci` is the full gate: format
-# check, vet, build, race-enabled tests, the seeded fault-matrix smoke, and
-# a benchmark comparison against BENCH_baseline.json that fails on a >15%
-# geomean ns/op regression.
+# check, vet, build, race-enabled tests, the schedule-determinism runs, the
+# seeded fault-matrix smoke, and a benchmark comparison against
+# BENCH_baseline.json that fails on a >15% geomean ns/op regression.
 
 GO ?= go
 
-.PHONY: all build fmt vet test race faultcheck tracecheck schedcheck coldcheck tunecheck servecheck alloccheck fuzz-regress bench-stat bench-snapshot bench-compare bench-pipeline bench-swar bench-obs bench-sched bench-artifact bench-tune bench-serve bench-alloc ci
+.PHONY: all build fmt vet test race determinism faultcheck tracecheck schedcheck coldcheck tunecheck servecheck alloccheck fuzz-regress bench-stat bench-snapshot bench-compare bench-pipeline bench-swar bench-obs bench-sched bench-artifact bench-tune bench-serve bench-alloc ci
 
 all: build
 
@@ -26,6 +26,20 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Schedule-determinism gate under the race detector: the simulator Stats
+# regression test, the kernels' cooperative-vs-legacy Stats parity, the
+# CPU-vs-baseline equivalence tests and the metrics-parity tests, three runs
+# each at GOMAXPROCS=1, 2 and 4, so a result that depends on goroutine
+# scheduling fails here instead of only on a wider or busier host.
+DETERMINISM_PROCS ?= 1 2 4
+determinism:
+	@set -e; for p in $(DETERMINISM_PROCS); do \
+		echo "determinism: GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -race -count 3 ./internal/search/ -run 'TestSimStatsScheduleDeterministic|TestEnginesMatchBaseline|TestEnginesEquivalentProperty|TestSWARPathsEquivalence|TestSWARFinderMatchesScalar|TestPackedEngine|FuzzSWARMismatch|TestMetricsAgreeWithProfile|TestMultiSYCLMergeParity|TestMultiSYCLSchedMetricsParity'; \
+		GOMAXPROCS=$$p $(GO) test -race -count 3 ./internal/kernels/ -run 'TestCooperativeMatchesLegacy'; \
+		GOMAXPROCS=$$p $(GO) test -race -count 3 ./internal/gpu/ -run 'TestPhasesStatsParity'; \
+	done
 
 # Seeded fault-matrix smoke: replay the deterministic fault schedules
 # (engines x sites, watchdog, corruption re-verification, quarantine, CLI
@@ -114,7 +128,7 @@ bench-stat:
 
 # Re-record BENCH_baseline.json (longer benchtime for stable numbers).
 bench-snapshot:
-	$(GO) run ./cmd/benchsnap -benchtime 200x
+	$(GO) run ./cmd/benchsnap -bench 'LaunchOverhead|SimLaunch|CPUEngine$$' -benchtime 200x
 
 # Regression gate: rerun the tracked benchmarks and fail when the geomean
 # ns/op ratio against the committed baseline exceeds 1.15x. The second line
@@ -125,7 +139,7 @@ bench-snapshot:
 # jump that losing the mmap load or the PAM-shard path would cost.
 bench-compare:
 	$(GO) run ./cmd/benchsnap -compare BENCH_baseline.json -benchtime 20x
-	$(GO) run ./cmd/benchsnap -compare BENCH_swar.json -bench 'SWARVsScalar|MultiPatternBatch' -pkgs . -benchtime 20x
+	$(GO) run ./cmd/benchsnap -compare BENCH_swar.json -bench 'SWARMismatch|MultiPatternBatch' -pkgs . -benchtime 20x
 	$(GO) run ./cmd/benchsnap -compare BENCH_obs.json -bench 'StreamVsRun|ObsOverhead' -pkgs . -benchtime 20x
 	$(GO) run ./cmd/benchsnap -compare BENCH_sched.json -bench 'WorkStealing' -pkgs . -benchtime 20x
 	$(GO) run ./cmd/benchsnap -compare BENCH_artifact.json -bench 'ColdStart' -pkgs . -benchtime 20x -threshold 1.3
@@ -137,9 +151,9 @@ bench-compare:
 bench-pipeline:
 	$(GO) run ./cmd/benchsnap -o BENCH_pipeline.json -benchtime 200x
 
-# Record the SWAR snapshot (BenchmarkSWARVsScalar, BenchmarkMultiPatternBatch).
+# Record the SWAR snapshot (BenchmarkSWARMismatch, BenchmarkMultiPatternBatch).
 bench-swar:
-	$(GO) run ./cmd/benchsnap -o BENCH_swar.json -bench 'SWARVsScalar|MultiPatternBatch' -pkgs . -benchtime 200x
+	$(GO) run ./cmd/benchsnap -o BENCH_swar.json -bench 'SWARMismatch|MultiPatternBatch' -pkgs . -benchtime 200x
 
 # Record the observability snapshot (BenchmarkStreamVsRun with the obs hooks
 # compiled in, plus the off/traced overhead pair). The off rows are the
@@ -183,4 +197,4 @@ bench-tune:
 bench-alloc:
 	$(GO) run ./cmd/benchsnap -o BENCH_alloc.json -bench 'ArenaProvisioning' -pkgs . -benchtime 50x
 
-ci: fmt vet build race faultcheck tracecheck schedcheck coldcheck tunecheck servecheck alloccheck bench-compare
+ci: fmt vet build race determinism faultcheck tracecheck schedcheck coldcheck tunecheck servecheck alloccheck bench-compare

@@ -319,29 +319,6 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkCPUPackedVsBytes is the ablation for the 2-bit sequence format
-// (related work [21]): the same search through the byte path and the
-// packed path.
-func BenchmarkCPUPackedVsBytes(b *testing.B) {
-	asm := benchAssembly(b, 1<<21)
-	req := benchRequest()
-	for _, packed := range []bool{false, true} {
-		name := "bytes"
-		if packed {
-			name = "packed"
-		}
-		b.Run(name, func(b *testing.B) {
-			eng := &search.CPU{Packed: packed}
-			b.SetBytes(asm.TotalLen())
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(asm, req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStreamVsRun compares the collect-then-sort path against the
 // streaming path on a multi-chunk search: the pipeline's double-buffered
 // staging must make streaming no slower than batch collection.
@@ -383,13 +360,12 @@ func BenchmarkStreamVsRun(b *testing.B) {
 	}
 }
 
-// BenchmarkSWARVsScalar pits the word-parallel mismatch kernel against the
-// per-base packed reference over every window of a 64 KiB sequence, with
-// the limit at the pattern length so both sides count all positions (a
-// realistic threshold lets the scalar side exit early and would measure
-// candidate sparsity, not the kernel). The SWAR core touches one word per
-// 32 bases instead of one lookup per base; the gate is a >=3x speedup.
-func BenchmarkSWARVsScalar(b *testing.B) {
+// BenchmarkSWARMismatch times the word-parallel mismatch kernel over every
+// window of a 64 KiB sequence, with the limit at the pattern length so every
+// window counts all positions (a realistic threshold would exit early and
+// measure candidate sparsity, not the kernel). The SWAR core touches one
+// word per 32 bases instead of one lookup per base.
+func BenchmarkSWARMismatch(b *testing.B) {
 	asm := benchAssembly(b, 1<<16)
 	seq := asm.Sequences[0].Data
 	pair, err := kernels.NewPatternPair([]byte("GGCCGACCTGTCGCTGACGCNNN"))
@@ -404,34 +380,22 @@ func BenchmarkSWARVsScalar(b *testing.B) {
 	view := packed.WordView(nil)
 	plen := bp.PatternLen()
 	limit := plen
-	positions := int64(len(seq) - plen + 1)
+	b.SetBytes(int64(len(seq) - plen + 1))
+	b.ResetTimer()
 	var sink int
-	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(positions)
-		for i := 0; i < b.N; i++ {
-			for pos := 0; pos+plen <= len(seq); pos++ {
-				mm, _ := bp.ScalarMismatches(packed, pos, 0, limit)
-				sink += mm
-			}
+	for i := 0; i < b.N; i++ {
+		for pos := 0; pos+plen <= len(seq); pos++ {
+			mm, _ := bp.Mismatches(view, pos, 0, limit)
+			sink += mm
 		}
-	})
-	b.Run("swar", func(b *testing.B) {
-		b.SetBytes(positions)
-		for i := 0; i < b.N; i++ {
-			for pos := 0; pos+plen <= len(seq); pos++ {
-				mm, _ := bp.Mismatches(view, pos, 0, limit)
-				sink += mm
-			}
-		}
-	})
+	}
 	_ = sink
 }
 
 // BenchmarkMultiPatternBatch measures the batched multi-pattern scan: one
 // genome pass testing all eight guides at each staged candidate window
-// against eight independent single-guide passes (and the unbatched SWAR
-// engine as the middle ablation). The batch amortises chunk staging,
-// packing and candidate finding across the guide set.
+// against eight independent single-guide passes. The batch amortises chunk
+// staging, packing and candidate finding across the guide set.
 func BenchmarkMultiPatternBatch(b *testing.B) {
 	asm := benchAssembly(b, 1<<20)
 	guides := []string{
@@ -448,17 +412,8 @@ func BenchmarkMultiPatternBatch(b *testing.B) {
 	for _, g := range guides {
 		req.Queries = append(req.Queries, search.Query{Guide: g, MaxMismatches: 4})
 	}
+	eng := &search.CPU{}
 	b.Run("batched", func(b *testing.B) {
-		eng := &search.CPU{Packed: true}
-		b.SetBytes(asm.TotalLen())
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(asm, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("unbatched", func(b *testing.B) {
-		eng := &search.CPU{Packed: true, NoBatch: true}
 		b.SetBytes(asm.TotalLen())
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Run(asm, req); err != nil {
@@ -467,7 +422,6 @@ func BenchmarkMultiPatternBatch(b *testing.B) {
 		}
 	})
 	b.Run("independent", func(b *testing.B) {
-		eng := &search.CPU{Packed: true}
 		b.SetBytes(asm.TotalLen())
 		for i := 0; i < b.N; i++ {
 			for _, q := range req.Queries {

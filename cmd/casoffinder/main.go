@@ -11,7 +11,7 @@
 //
 //	casoffinder [-engine cpu|opencl|sycl] [-device MI100] [-variant auto]
 //	            [-autotune model|calibrate]
-//	            [-devices radeonvii,mi60,mi100] [-packed]
+//	            [-devices radeonvii,mi60,mi100]
 //	            [-index build|use] [-index-file genome.cart]
 //	            [-worst-case-arena]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -20,10 +20,10 @@
 //	            [-format text|json] [-timeout 30s]
 //	            [-o output.txt] input.txt
 //
-// The cpu engine is the production path (-packed switches it to the
-// bit-parallel SWAR scan); the opencl and sycl engines run the paper's two
-// applications on the device simulator and print a kernel profile to
-// stderr. -cpuprofile and -memprofile write pprof profiles covering the
+// The cpu engine is the production path: a bit-parallel SWAR scan over the
+// 2-bit packed genome, all guides batched into one pass per chunk. The
+// opencl and sycl engines run the paper's two applications on the device
+// simulator and print a kernel profile to stderr. -cpuprofile and -memprofile write pprof profiles covering the
 // search.
 //
 // -index persists the genome in its search-ready form: "build" parses the
@@ -151,7 +151,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	format := fs.String("format", "text", "hit output format: text (tab-separated) or json (NDJSON, one hit object per line)")
 	timeout := fs.Duration("timeout", 0, "overall run deadline; an expired run exits 1 with a client.deadline error (0 = none)")
 	workers := fs.Int("workers", 0, "cpu engine workers (0 = all cores)")
-	packed := fs.Bool("packed", false, "cpu engine: scan the 2-bit packed genome with the bit-parallel SWAR core")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	faultRate := fs.Float64("fault-rate", 0, "simulator fault injection probability in [0, 1] (0 = off)")
@@ -262,7 +261,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
-	eng, profiler, err := buildEngine(*engineName, *deviceName, fleet, variant, auto, calibrate, *workers, *packed, *worstArena, faultPlan, res, tracer, metrics)
+	eng, profiler, err := buildEngine(*engineName, *deviceName, fleet, variant, auto, calibrate, *workers, *worstArena, faultPlan, res, tracer, metrics)
 	if err != nil {
 		return err
 	}
@@ -568,7 +567,7 @@ func parseVariant(name string) (kernels.ComparerVariant, bool, error) {
 	return 0, false, fmt.Errorf("unknown comparer variant %q (want auto, base, opt1..opt4 or bitparallel)", name)
 }
 
-func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels.ComparerVariant, auto, calibrate bool, workers int, packed, worstArena bool,
+func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels.ComparerVariant, auto, calibrate bool, workers int, worstArena bool,
 	faultPlan fault.Plan, res *pipeline.Resilience, tracer *obs.Tracer, metrics *obs.Metrics) (search.Engine, search.Profiler, error) {
 	if len(fleet) > 0 && engine != "sycl" {
 		return nil, nil, usageError{fmt.Errorf("-devices runs the multi-device scheduler, which needs -engine sycl, not %q", engine)}
@@ -585,7 +584,7 @@ func buildEngine(engine, deviceName string, fleet []device.Spec, variant kernels
 			return nil, nil, usageError{fmt.Errorf("-worst-case-arena pins the simulator hit arenas, which need the opencl or sycl engine, not %q", engine)}
 		}
 		if engine == "cpu" {
-			return &search.CPU{Workers: workers, Packed: packed, Trace: tracer, Metrics: metrics}, nil, nil
+			return &search.CPU{Workers: workers, Trace: tracer, Metrics: metrics}, nil, nil
 		}
 		return &search.Indexed{Workers: workers, Trace: tracer, Metrics: metrics}, nil, nil
 	case "opencl", "sycl":

@@ -349,21 +349,24 @@ func TestParseVariant(t *testing.T) {
 	}
 }
 
-func TestRunPackedEngine(t *testing.T) {
+// TestRunPackedFlagRemoved: SWAR is the cpu engine's only scan, so there is
+// no -packed flag; passing it is a usage error (exit 2) that writes no
+// output, while the default run still finds the planted site.
+func TestRunPackedFlagRemoved(t *testing.T) {
 	input := writeTestData(t, "NNNNNNNNNNNGG")
-	plain, packed := new(bytes.Buffer), new(bytes.Buffer)
-	var errOut bytes.Buffer
-	if err := run([]string{input}, plain, &errOut); err != nil {
+	var out, errOut bytes.Buffer
+	err := run([]string{"-packed", input}, &out, &errOut)
+	if got := exitCode(err); got != exitUsage {
+		t.Fatalf("-packed: exitCode = %d, want %d (err: %v)", got, exitUsage, err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-packed wrote output: %q", out.String())
+	}
+	if err := run([]string{input}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-packed", input}, packed, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	if plain.String() != packed.String() {
-		t.Errorf("-packed changed the output:\n%s\nvs\n%s", packed.String(), plain.String())
-	}
-	if !strings.Contains(packed.String(), "chr1\t4\t") {
-		t.Errorf("packed output missing the planted site:\n%s", packed.String())
+	if !strings.Contains(out.String(), "chr1\t4\t") {
+		t.Errorf("default output missing the planted site:\n%s", out.String())
 	}
 }
 

@@ -203,6 +203,7 @@ func TestSetupUsageErrors(t *testing.T) {
 		{"no genomes", nil},
 		{"positional arg", []string{"-genome", dir, "input.txt"}},
 		{"bad flag", []string{"-no-such-flag"}},
+		{"removed -packed flag", []string{"-genome", dir, "-packed"}},
 		{"bad engine", []string{"-genome", dir, "-engine", "cuda"}},
 		{"bad device", []string{"-genome", dir, "-engine", "sycl", "-device", "H100"}},
 		{"bad variant", []string{"-genome", dir, "-variant", "opt9"}},

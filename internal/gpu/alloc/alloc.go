@@ -184,8 +184,15 @@ type Geometry struct {
 	PageSlots int
 	// Claimed is the number of pages the launch claimed.
 	Claimed int
-	// Counts holds the valid entry count of each claimed page.
+	// Counts holds the valid entry count of each claimed page, indexed by
+	// physical page.
 	Counts []int
+	// Order lists the claimed physical pages in owning-group order. Which
+	// group wins which page depends on how the scheduler interleaved the
+	// claims; walking Order instead of 0..Claimed makes every gather of
+	// the arena canonical, so downstream launches see the same input (and
+	// account the same Stats) on every run.
+	Order []int
 	// Total is the sum of Counts.
 	Total int
 }
@@ -206,7 +213,7 @@ func Decode(cursor uint32, count, pageOf []uint32, pageSlots, pages int) (*Geome
 		return nil, fault.Errorf(fault.SiteArena, fault.Corruption,
 			"alloc: page cursor %d exceeds %d provisioned pages", cursor, pages)
 	}
-	g := &Geometry{PageSlots: pageSlots, Claimed: int(cursor), Counts: make([]int, cursor)}
+	g := &Geometry{PageSlots: pageSlots, Claimed: int(cursor), Counts: make([]int, cursor), Order: make([]int, 0, cursor)}
 	owned := 0
 	for grp, p := range pageOf {
 		n := count[grp]
@@ -233,6 +240,7 @@ func Decode(cursor uint32, count, pageOf []uint32, pageSlots, pages int) (*Geome
 				"alloc: page %d claimed by two groups", p)
 		default:
 			g.Counts[p] = int(n)
+			g.Order = append(g.Order, int(p))
 			g.Total += int(n)
 			owned++
 		}
@@ -245,9 +253,9 @@ func Decode(cursor uint32, count, pageOf []uint32, pageSlots, pages int) (*Geome
 }
 
 // Gather appends the valid entries of every claimed page from the
-// page-strided device array src to dst, in page order.
+// page-strided device array src to dst, in owning-group order.
 func Gather[T any](g *Geometry, src, dst []T) []T {
-	for p := 0; p < g.Claimed; p++ {
+	for _, p := range g.Order {
 		base := p * g.PageSlots
 		dst = append(dst, src[base:base+g.Counts[p]]...)
 	}

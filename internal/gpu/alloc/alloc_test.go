@@ -293,6 +293,19 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if geo.Claimed != 2 || geo.Total != 14 || geo.Counts[0] != 9 || geo.Counts[1] != 5 {
 		t.Errorf("geometry = %+v", geo)
 	}
+	// Group 0 owns page 1 and group 1 owns page 0, so the canonical gather
+	// order is page 1 then page 0, whatever order the claims landed in.
+	if len(geo.Order) != 2 || geo.Order[0] != 1 || geo.Order[1] != 0 {
+		t.Errorf("page order = %v, want [1 0] (owning-group order)", geo.Order)
+	}
+	src := make([]uint32, pages*pageSlots)
+	for i := range src {
+		src[i] = uint32(i)
+	}
+	got := Gather(geo, src, nil)
+	if len(got) != 14 || got[0] != uint32(pageSlots) || got[5] != 0 {
+		t.Errorf("Gather = %v, want page 1's 5 entries then page 0's 9", got)
+	}
 }
 
 func TestHostReset(t *testing.T) {

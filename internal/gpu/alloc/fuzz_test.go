@@ -88,6 +88,16 @@ func FuzzArenaDecode(f *testing.F) {
 		if total != geo.Total {
 			t.Fatalf("Total %d != sum of page counts %d", geo.Total, total)
 		}
+		seen := make([]bool, geo.Claimed)
+		for _, p := range geo.Order {
+			if p < 0 || p >= geo.Claimed || seen[p] {
+				t.Fatalf("page order %v is not a permutation of %d claimed pages", geo.Order, geo.Claimed)
+			}
+			seen[p] = true
+		}
+		if len(geo.Order) != geo.Claimed {
+			t.Fatalf("page order %v lists %d of %d claimed pages", geo.Order, len(geo.Order), geo.Claimed)
+		}
 		data := make([]uint32, maxPages*pageSlots)
 		if got := Gather(geo, data, nil); len(got) != geo.Total {
 			t.Fatalf("Gather returned %d entries for Total %d", len(got), geo.Total)

@@ -53,9 +53,6 @@ func TestArtifactEquivalenceAllEngines(t *testing.T) {
 		eng  Engine
 	}{
 		{"cpu", &CPU{Workers: 2}},
-		{"cpu-packed", &CPU{Workers: 2, Packed: true}},
-		{"cpu-packed-nobatch", &CPU{Workers: 2, Packed: true, NoBatch: true}},
-		{"cpu-packed-scalar", &CPU{Workers: 2, Packed: true, Scalar: true}},
 		{"indexed", &Indexed{Workers: 2}},
 		{"opencl", &SimCL{Device: gpu.New(device.MI60(), gpu.WithWorkers(2)), Variant: kernels.Base}},
 		{"sycl", &SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(2)), Variant: kernels.Opt3, WorkGroupSize: 64}},
@@ -168,7 +165,7 @@ func TestArtifactCorruptShardRejected(t *testing.T) {
 	// Strand bits zeroed: selected by every consumer, impossible by
 	// construction.
 	zeroStrand := badShardAssembly(t, asm, req.Pattern, plen, 5<<2)
-	if _, err := (&CPU{Packed: true}).Run(zeroStrand, req); !isCorruption(err) {
+	if _, err := (&CPU{}).Run(zeroStrand, req); !isCorruption(err) {
 		t.Errorf("CPU on zero-strand shard: err = %v, want artifact corruption", err)
 	}
 	if _, err := (&Indexed{}).Run(zeroStrand, req); !isCorruption(err) {
@@ -189,7 +186,7 @@ func TestArtifactCorruptShardRejected(t *testing.T) {
 func TestArtifactFaultFailover(t *testing.T) {
 	asm := testAssembly(t, 13, []int{2200}, testSite)
 	req := testRequest(2)
-	want, err := (&CPU{Packed: true}).Run(asm, req)
+	want, err := (&CPU{}).Run(asm, req)
 	if err != nil {
 		t.Fatal(err)
 	}

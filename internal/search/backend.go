@@ -85,7 +85,7 @@ func resilienceFor(res *pipeline.Resilience, prof func() *Profile) *pipeline.Res
 	r := *res
 	if r.Fallback == nil {
 		r.Fallback = func(plan *pipeline.Plan) (pipeline.Backend, error) {
-			return newCPUBackend(plan, &CPU{Packed: true}), nil
+			return newCPUBackend(plan), nil
 		}
 	}
 	user := res.OnReport

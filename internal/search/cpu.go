@@ -14,24 +14,13 @@ import (
 
 // CPU is the production engine: a goroutine-parallel scan over genome
 // chunks with no device simulation. It is the engine a downstream user
-// would run; the simulator engines exist to reproduce the paper.
+// would run; the simulator engines exist to reproduce the paper. Chunks are
+// scanned in the 2-bit packed format (the upstream optimization noted in the
+// paper's related work [21]) by the SWAR word-parallel core — 32 bases per
+// uint64 load — with all guides batched into one pass per chunk.
 type CPU struct {
 	// Workers bounds the concurrent chunk scanners; 0 means NumCPU.
 	Workers int
-	// Packed scans chunks in the 2-bit packed format (the upstream
-	// optimization noted in the paper's related work [21]) using the SWAR
-	// word-parallel core — 32 bases per uint64 load — with all guides
-	// batched into one pass per chunk; results are byte-identical to the
-	// default path.
-	Packed bool
-	// Scalar forces the per-base packed compare (the pre-SWAR reference
-	// path kept for equivalence testing and ablation). Only meaningful
-	// with Packed.
-	Scalar bool
-	// NoBatch keeps the SWAR core but disables multi-pattern batching,
-	// comparing guides one pipeline Compare call at a time — the ablation
-	// arm of BenchmarkMultiPatternBatch. Only meaningful with Packed.
-	NoBatch bool
 	// Trace and Metrics, when set, record pipeline spans and counters for
 	// the run; nil leaves the hot path untouched.
 	Trace   *obs.Tracer
@@ -64,7 +53,7 @@ func (c *CPU) Stream(ctx context.Context, asm *genome.Assembly, req *Request, em
 	}
 	p := &pipeline.Pipeline{
 		Open: func(plan *pipeline.Plan) (pipeline.Backend, error) {
-			return newCPUBackend(plan, c), nil
+			return newCPUBackend(plan), nil
 		},
 		ScanWorkers: c.workers(),
 		Trace:       c.Trace,
@@ -74,54 +63,33 @@ func (c *CPU) Stream(ctx context.Context, asm *genome.Assembly, req *Request, em
 	return p.Stream(ctx, asm, req, emit)
 }
 
-// cpuBackend adapts the goroutine scan to the pipeline Backend contract.
+// cpuBackend adapts the SWAR scan to the pipeline Backend contract.
 // Staging is free (chunks are scanned in place), so the pipeline's scan
-// workers carry all the parallelism.
+// workers carry all the parallelism. It implements the pipeline's optional
+// BatchComparer, so every guide runs in one candidate-major pass per chunk.
 type cpuBackend struct {
-	plan   *pipeline.Plan
-	packed bool
-	scalar bool
+	plan *pipeline.Plan
 	// shards is set when the plan's artifact carries PAM shards built for
 	// this request's scaffold: Find then skips the prefilter scan entirely
 	// and slices the chunk's candidates out of the precomputed index.
 	shards bool
-	// Scalar packed-path pattern tables, compiled once per run.
-	packedPattern *maskedPattern
-	packedGuides  []*maskedPattern
-	// SWAR-path compiled patterns.
-	bitPattern *BitPattern
-	bitGuides  []*BitPattern
+	// Compiled scaffold and guide patterns, built once per run.
+	pattern *BitPattern
+	guides  []*BitPattern
 	// scratch pools one scanScratch per concurrent scan so the hot loops
 	// allocate nothing per chunk.
 	scratch sync.Pool
 }
 
-// newCPUBackend builds the backend for the engine's configuration. The
-// default packed configuration returns the batching wrapper, which the
-// pipeline detects (via its BatchComparer interface) to fuse all guides
-// into one pass over each chunk's cached window words.
-func newCPUBackend(plan *pipeline.Plan, c *CPU) pipeline.Backend {
-	b := &cpuBackend{plan: plan, packed: c.Packed, scalar: c.Scalar}
+func newCPUBackend(plan *pipeline.Plan) *cpuBackend {
+	b := &cpuBackend{plan: plan, pattern: CompileBitPattern(plan.Pattern)}
 	if plan.Artifact != nil {
 		b.shards = plan.Artifact.HasPAMIndex(plan.Request.Pattern)
 	}
 	b.scratch.New = func() any { return new(scanScratch) }
-	switch {
-	case c.Packed && c.Scalar:
-		b.packedPattern = newMaskedPattern(plan.Pattern)
-		b.packedGuides = make([]*maskedPattern, len(plan.Guides))
-		for i, g := range plan.Guides {
-			b.packedGuides[i] = newMaskedPattern(g)
-		}
-	case c.Packed:
-		b.bitPattern = CompileBitPattern(plan.Pattern)
-		b.bitGuides = make([]*BitPattern, len(plan.Guides))
-		for i, g := range plan.Guides {
-			b.bitGuides[i] = CompileBitPattern(g)
-		}
-		if !c.NoBatch {
-			return &batchedCPUBackend{b}
-		}
+	b.guides = make([]*BitPattern, len(plan.Guides))
+	for i, g := range plan.Guides {
+		b.guides[i] = CompileBitPattern(g)
 	}
 	return b
 }
@@ -129,10 +97,9 @@ func newCPUBackend(plan *pipeline.Plan, c *CPU) pipeline.Backend {
 // cpuStaged is the CPU's staged-chunk handle: the chunk itself plus the
 // pooled scratch claimed in Find and returned in Drain.
 type cpuStaged struct {
-	ch     *genome.Chunk
-	sc     *scanScratch
-	packed *genome.Packed
-	view   *genome.WordView
+	ch   *genome.Chunk
+	sc   *scanScratch
+	view *genome.WordView
 	// base maps chunk-local positions into view's coordinates: ch.Start
 	// when view is an artifact's resident whole-sequence view, 0 when it
 	// was repacked from the chunk bytes.
@@ -161,79 +128,51 @@ func (b *cpuBackend) Stage(ctx context.Context, ch *genome.Chunk) (pipeline.Stag
 }
 
 // Find implements pipeline.Backend: the PAM prefilter into the pooled
-// candidate buffer (the finder kernel's role). The packed path packs the
-// chunk here, in the scan worker, so packing parallelizes across chunks.
+// candidate buffer (the finder kernel's role). It prefers the artifact's
+// resident whole-sequence view — no per-chunk Repack, and with matching PAM
+// shards no prefilter scan at all — and otherwise packs the chunk here, in
+// the scan worker, so packing parallelizes across chunks.
 func (b *cpuBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) {
 	s := st.(*cpuStaged)
 	s.sc = b.scratch.Get().(*scanScratch)
-	switch {
-	case b.packed && !b.scalar:
-		// The SWAR path prefers the artifact's resident whole-sequence
-		// view: no per-chunk Repack/WordView rebuild, and with matching
-		// PAM shards no prefilter scan at all.
-		if av := b.artifactView(s.ch); av != nil {
-			s.view, s.base = av, s.ch.Start
-			if b.shards {
-				shard := b.plan.Artifact.PAMRange(s.ch.SeqIndex, s.ch.Start, s.ch.Start+s.ch.Body)
-				if err := s.sc.candidatesFromShard(s.ch, shard); err != nil {
-					return 0, err
-				}
-				break
+	if av := b.artifactView(s.ch); av != nil {
+		s.view, s.base = av, s.ch.Start
+		if b.shards {
+			shard := b.plan.Artifact.PAMRange(s.ch.SeqIndex, s.ch.Start, s.ch.Start+s.ch.Body)
+			if err := s.sc.candidatesFromShard(s.ch, shard); err != nil {
+				return 0, err
 			}
-			s.sc.findSWARCandidates(s.ch, s.view, b.bitPattern, s.base)
-			break
+			return len(s.sc.cand), nil
 		}
+	} else {
 		if err := s.sc.packed.Repack(s.ch.Data); err != nil {
 			return 0, fmt.Errorf("search: packing chunk at %s:%d: %w", s.ch.SeqName, s.ch.Start, err)
 		}
-		s.packed = &s.sc.packed
-		s.sc.view = s.packed.WordView(s.sc.view)
+		s.sc.view = s.sc.packed.WordView(s.sc.view)
 		s.view, s.base = s.sc.view, 0
-		s.sc.findSWARCandidates(s.ch, s.view, b.bitPattern, 0)
-	case b.packed:
-		if err := s.sc.packed.Repack(s.ch.Data); err != nil {
-			return 0, fmt.Errorf("search: packing chunk at %s:%d: %w", s.ch.SeqName, s.ch.Start, err)
-		}
-		s.packed = &s.sc.packed
-		s.sc.findPackedCandidates(s.ch, s.packed, b.packedPattern)
-	default:
-		s.sc.findCandidates(s.ch, b.plan.Pattern)
 	}
+	s.sc.findSWARCandidates(s.ch, s.view, b.pattern, s.base)
 	return len(s.sc.cand), nil
 }
 
 // Compare implements pipeline.Backend: one guide over the surviving
-// candidates (the comparer kernel's role).
+// candidates. The pipeline calls CompareAll instead; Compare exists because
+// every Backend must be able to compare one guide at a time.
 func (b *cpuBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) error {
 	s := st.(*cpuStaged)
-	limit := b.plan.Request.Queries[qi].MaxMismatches
-	switch {
-	case b.packed && !b.scalar:
-		s.sc.compareSWAR(s.view, b.bitGuides[qi], qi, limit, s.base)
-	case b.packed:
-		s.sc.comparePacked(s.packed, b.packedGuides[qi], qi, limit)
-	default:
-		s.sc.compare(s.ch.Data, b.plan.Guides[qi], qi, limit)
-	}
+	s.sc.compareSWAR(s.view, b.guides[qi], qi, b.plan.Request.Queries[qi].MaxMismatches, s.base)
 	return nil
 }
 
-// batchedCPUBackend is the default packed backend: it layers the pipeline's
-// optional BatchComparer capability over cpuBackend, fusing all guides into
-// one candidate-major pass that stages each window's words once.
-type batchedCPUBackend struct {
-	*cpuBackend
-}
-
-// CompareAll implements pipeline.BatchComparer: for every surviving
-// candidate the window words are fetched once into pooled scratch, then
-// every guide's compiled pattern runs against the cached words
-// (pattern-major inner loop) — one genome pass per chunk instead of one
-// per guide.
-func (b *batchedCPUBackend) CompareAll(ctx context.Context, st pipeline.Staged) error {
+// CompareAll implements pipeline.BatchComparer (the comparer kernel's
+// role): for every surviving candidate the window words are fetched once
+// into pooled scratch, then every guide's compiled pattern runs against the
+// cached words (pattern-major inner loop) — one genome pass per chunk
+// instead of one per guide.
+func (b *cpuBackend) CompareAll(ctx context.Context, st pipeline.Staged) error {
 	s := st.(*cpuStaged)
 	sc := s.sc
-	words := b.bitPattern.words
+	words := b.pattern.words
 	plen := b.plan.Pattern.PatternLen
 	if cap(sc.winText) < words {
 		sc.winText = make([]uint64, words)
@@ -245,7 +184,7 @@ func (b *batchedCPUBackend) CompareAll(ctx context.Context, st pipeline.Staged) 
 		for w := 0; w < words; w++ {
 			text[w], unk[w] = s.view.Window(s.base + cd.pos + 32*w)
 		}
-		for qi, g := range b.bitGuides {
+		for qi, g := range b.guides {
 			limit := queries[qi].MaxMismatches
 			if cd.strand&strandFwd != 0 {
 				if mm, ok := g.MismatchesWords(text, unk, 0, limit); ok {
@@ -267,9 +206,7 @@ func (b *batchedCPUBackend) CompareAll(ctx context.Context, st pipeline.Staged) 
 func (b *cpuBackend) Drain(ctx context.Context, st pipeline.Staged, r *pipeline.SiteRenderer) ([]Hit, error) {
 	s := st.(*cpuStaged)
 	hits, err := drainEntries(r, s.ch, b.plan.Guides, s.sc.entries)
-	s.sc.entries = s.sc.entries[:0]
-	b.scratch.Put(s.sc)
-	s.sc, s.packed, s.view = nil, nil, nil
+	b.Release(s)
 	return hits, err
 }
 
@@ -282,7 +219,7 @@ func (b *cpuBackend) Release(st pipeline.Staged) {
 	}
 	s.sc.entries = s.sc.entries[:0]
 	b.scratch.Put(s.sc)
-	s.sc, s.packed, s.view = nil, nil, nil
+	s.sc, s.view = nil, nil
 }
 
 // Close implements pipeline.Backend; the CPU holds no run-wide resources.
@@ -312,123 +249,4 @@ type scanScratch struct {
 	view    *genome.WordView
 	winText []uint64
 	winUnk  []uint64
-}
-
-// findCandidates runs the PAM prefilter over the chunk body (the finder
-// kernel's role), compacting the (rare) scaffold matches into the pooled
-// candidate buffer. The chunk is scanned in place: the IUPAC tables accept
-// soft-masked lower-case bases, and site rendering normalizes case.
-func (sc *scanScratch) findCandidates(ch *genome.Chunk, pattern *kernels.PatternPair) {
-	data := ch.Data
-	plen := pattern.PatternLen
-	cand := sc.cand[:0]
-	for pos := 0; pos < ch.Body; pos++ {
-		window := data[pos : pos+plen]
-		var strand uint8
-		if windowMatches(window, pattern, 0) {
-			strand |= strandFwd
-		}
-		if windowMatches(window, pattern, plen) {
-			strand |= strandRev
-		}
-		if strand != 0 {
-			cand = append(cand, candidate{pos: pos, strand: strand})
-		}
-	}
-	sc.cand = cand
-}
-
-// compare tests one guide at every surviving candidate (the comparer
-// kernel's role), appending raw entries for the drain phase to render.
-func (sc *scanScratch) compare(data []byte, g *kernels.PatternPair, qi, limit int) {
-	plen := g.PatternLen
-	for _, cd := range sc.cand {
-		window := data[cd.pos : cd.pos+plen]
-		if cd.strand&strandFwd != 0 {
-			if mm, ok := countMismatches(window, g, 0, limit); ok {
-				sc.entries = append(sc.entries, rawHit{qi: qi, pos: cd.pos, dir: kernels.DirForward, mm: mm})
-			}
-		}
-		if cd.strand&strandRev != 0 {
-			if mm, ok := countMismatches(window, g, plen, limit); ok {
-				sc.entries = append(sc.entries, rawHit{qi: qi, pos: cd.pos, dir: kernels.DirReverse, mm: mm})
-			}
-		}
-	}
-}
-
-// scanChunk is the fused single-call scan over one chunk — the PAM
-// prefilter followed by every guide at every candidate, rendering hits
-// as it goes. The engine streams through the pipeline phases instead;
-// this form remains the reference the equivalence tests pin (its hit
-// order is the seed scan's: position-major, then query, then strand).
-func (sc *scanScratch) scanChunk(ch *genome.Chunk, pattern *kernels.PatternPair, guides []*kernels.PatternPair, queries []Query) ([]Hit, error) {
-	sc.findCandidates(ch, pattern)
-	data := ch.Data
-	plen := pattern.PatternLen
-	var hits []Hit
-	for _, cd := range sc.cand {
-		window := data[cd.pos : cd.pos+plen]
-		for qi, g := range guides {
-			limit := queries[qi].MaxMismatches
-			if cd.strand&strandFwd != 0 {
-				if mm, ok := countMismatches(window, g, 0, limit); ok {
-					hits = append(hits, Hit{
-						QueryIndex: qi,
-						SeqName:    ch.SeqName,
-						Pos:        ch.Start + cd.pos,
-						Dir:        kernels.DirForward,
-						Mismatches: mm,
-						Site:       renderSite(window, g, kernels.DirForward),
-					})
-				}
-			}
-			if cd.strand&strandRev != 0 {
-				if mm, ok := countMismatches(window, g, plen, limit); ok {
-					hits = append(hits, Hit{
-						QueryIndex: qi,
-						SeqName:    ch.SeqName,
-						Pos:        ch.Start + cd.pos,
-						Dir:        kernels.DirReverse,
-						Mismatches: mm,
-						Site:       renderSite(window, g, kernels.DirReverse),
-					})
-				}
-			}
-		}
-	}
-	return hits, nil
-}
-
-// windowMatches tests the PAM scaffold at the given strand offset.
-func windowMatches(window []byte, p *kernels.PatternPair, offset int) bool {
-	for j := 0; j < p.PatternLen; j++ {
-		k := p.Index[offset+j]
-		if k == -1 {
-			break
-		}
-		if !genome.Matches(p.Codes[offset+int(k)], window[k]) {
-			return false
-		}
-	}
-	return true
-}
-
-// countMismatches counts mismatching guide positions at the strand offset,
-// giving up past the limit.
-func countMismatches(window []byte, g *kernels.PatternPair, offset, limit int) (int, bool) {
-	mm := 0
-	for j := 0; j < g.PatternLen; j++ {
-		k := g.Index[offset+j]
-		if k == -1 {
-			break
-		}
-		if !genome.Matches(g.Codes[offset+int(k)], window[k]) {
-			mm++
-			if mm > limit {
-				return mm, false
-			}
-		}
-	}
-	return mm, true
 }

@@ -1,144 +1,19 @@
 package search
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"casoffinder/internal/genome"
-	"casoffinder/internal/kernels"
+	"casoffinder/internal/pipeline"
 )
 
-// seedScanChunk is the pre-optimization scan kept as a reference: it copies
-// the chunk to upper case and runs the PAM test and the guide comparison
-// position by position in one pass. The two-phase scanChunk must return
-// exactly its hits; BenchmarkCPUScanTwoPhase races the two.
-func seedScanChunk(ch *genome.Chunk, pattern *kernels.PatternPair, guides []*kernels.PatternPair, queries []Query) ([]Hit, error) {
-	data := genome.Upper(ch.Data)
-	plen := pattern.PatternLen
-	var hits []Hit
-	for pos := 0; pos < ch.Body; pos++ {
-		window := data[pos : pos+plen]
-		fwd := windowMatches(window, pattern, 0)
-		rev := windowMatches(window, pattern, plen)
-		if !fwd && !rev {
-			continue
-		}
-		for qi, g := range guides {
-			limit := queries[qi].MaxMismatches
-			if fwd {
-				if mm, ok := countMismatches(window, g, 0, limit); ok {
-					hits = append(hits, Hit{
-						QueryIndex: qi,
-						SeqName:    ch.SeqName,
-						Pos:        ch.Start + pos,
-						Dir:        kernels.DirForward,
-						Mismatches: mm,
-						Site:       renderSite(window, g, kernels.DirForward),
-					})
-				}
-			}
-			if rev {
-				if mm, ok := countMismatches(window, g, plen, limit); ok {
-					hits = append(hits, Hit{
-						QueryIndex: qi,
-						SeqName:    ch.SeqName,
-						Pos:        ch.Start + pos,
-						Dir:        kernels.DirReverse,
-						Mismatches: mm,
-						Site:       renderSite(window, g, kernels.DirReverse),
-					})
-				}
-			}
-		}
-	}
-	return hits, nil
-}
-
-// chunkFixture plans chunks over a planted assembly and parses the standard
-// test pattern and guide.
-func chunkFixture(t testing.TB, seed int64, bases, chunkBytes int) ([]*genome.Chunk, *kernels.PatternPair, []*kernels.PatternPair, []Query) {
-	t.Helper()
-	asm := testAssemblyTB(t, seed, []int{bases}, testSite)
-	pattern, err := kernels.NewPatternPair([]byte(testPattern))
-	if err != nil {
-		t.Fatal(err)
-	}
-	guide, err := kernels.NewPatternPair([]byte(testGuide))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunker := &genome.Chunker{ChunkBytes: chunkBytes, PatternLen: pattern.PatternLen}
-	chunks, err := chunker.Plan(asm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) < 2 {
-		t.Fatalf("fixture produced %d chunks, want several", len(chunks))
-	}
-	return chunks, pattern, []*kernels.PatternPair{guide}, []Query{{Guide: testGuide, MaxMismatches: 2}}
-}
-
-// testAssemblyTB is testAssembly generalized to benchmarks.
-func testAssemblyTB(tb testing.TB, seed int64, seqLens []int, site string) *genome.Assembly {
-	tb.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	asm := &genome.Assembly{Name: "test"}
-	alphabet := []byte("ACGTacgtN")
-	for si, n := range seqLens {
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = alphabet[rng.Intn(len(alphabet))]
-		}
-		for p := 16; p+len(site)+4 < n; p += 96 + rng.Intn(64) {
-			mutated := []byte(site)
-			for m := 0; m < rng.Intn(4); m++ {
-				mutated[rng.Intn(len(mutated))] = "ACGT"[rng.Intn(4)]
-			}
-			if rng.Intn(2) == 0 {
-				genome.ReverseComplement(mutated)
-			}
-			copy(data[p:], mutated)
-		}
-		asm.Sequences = append(asm.Sequences, &genome.Sequence{
-			Name: string(rune('a' + si)),
-			Data: data,
-		})
-	}
-	return asm
-}
-
-// TestScanChunkMatchesSeed checks that the two-phase in-place scan returns
-// exactly the seed scan's hits, chunk by chunk, with the scratch reused
-// across chunks the way a worker reuses it.
-func TestScanChunkMatchesSeed(t *testing.T) {
-	for _, seed := range []int64{3, 17, 99} {
-		chunks, pattern, guides, queries := chunkFixture(t, seed, 3000, 400)
-		var sc scanScratch
-		total := 0
-		for ci, ch := range chunks {
-			want, err := seedScanChunk(ch, pattern, guides, queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sc.scanChunk(ch, pattern, guides, queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalHits(got, want) {
-				t.Errorf("seed %d chunk %d: two-phase hits diverge (%d vs %d)", seed, ci, len(got), len(want))
-			}
-			total += len(want)
-		}
-		if total == 0 {
-			t.Fatalf("seed %d: fixture produced no hits", seed)
-		}
-	}
-}
-
 // TestScanInnerLoopZeroAllocs pins the zero-allocation property of the hot
-// scan: once the worker's candidate buffer has grown, scanning a chunk that
-// yields PAM candidates but no hits must not allocate at all.
+// scan: once a worker's pooled scratch has grown, running Find, CompareAll
+// and Drain over chunks that yield PAM candidates but no hits must not
+// allocate at all.
 func TestScanInnerLoopZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	data := make([]byte, 4096)
@@ -146,46 +21,58 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 		data[i] = "ACGTacgt"[rng.Intn(8)]
 	}
 	asm := &genome.Assembly{Name: "alloc", Sequences: []*genome.Sequence{{Name: "s", Data: data}}}
-	pattern, err := kernels.NewPatternPair([]byte(testPattern))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A guide that cannot occur in the ACGT-random data at zero mismatches:
-	// the scan reaches phase 2 at every NGG candidate but never appends.
-	guide, err := kernels.NewPatternPair([]byte("CCCCCCCCCCNN"))
+	// the scan reaches the compare at every NGG candidate but never appends.
+	plan, err := pipeline.Compile(&Request{
+		Pattern:    testPattern,
+		Queries:    []Query{{Guide: "CCCCCCCCCCNN", MaxMismatches: 0}},
+		ChunkBytes: 1024,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunker := &genome.Chunker{ChunkBytes: 1024, PatternLen: pattern.PatternLen}
-	chunks, err := chunker.Plan(asm)
+	chunks, err := plan.Chunker.Plan(asm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	guides := []*kernels.PatternPair{guide}
-	queries := []Query{{Guide: "CCCCCCCCCCNN", MaxMismatches: 0}}
-	var sc scanScratch
-	// Warm the candidate buffer on every chunk first.
-	candidates := 0
-	for _, ch := range chunks {
-		hits, err := sc.scanChunk(ch, pattern, guides, queries)
-		if err != nil {
+	ctx := context.Background()
+	b := newCPUBackend(plan)
+	// Pin the pool to one scratch: the race detector drops pooled items at
+	// random, and the property under test is that a warm scratch is reused
+	// without allocating, not that sync.Pool retains it.
+	sc := new(scanScratch)
+	b.scratch.New = func() any { return sc }
+	staged := make([]pipeline.Staged, len(chunks))
+	for i, ch := range chunks {
+		if staged[i], err = b.Stage(ctx, ch); err != nil {
 			t.Fatal(err)
 		}
-		if len(hits) != 0 {
-			t.Fatalf("workload unexpectedly produced %d hits", len(hits))
-		}
-		candidates += len(sc.cand)
 	}
-	if candidates == 0 {
-		t.Fatal("workload produced no PAM candidates; the test would not exercise phase 2")
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, ch := range chunks {
-			if _, err := sc.scanChunk(ch, pattern, guides, queries); err != nil {
+	scan := func() (candidates int) {
+		for _, st := range staged {
+			n, err := b.Find(ctx, st)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if err := b.CompareAll(ctx, st); err != nil {
+				t.Fatal(err)
+			}
+			hits, err := b.Drain(ctx, st, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hits) != 0 {
+				t.Fatalf("workload unexpectedly produced %d hits", len(hits))
+			}
+			candidates += n
 		}
-	})
+		return candidates
+	}
+	// Warm the pooled scratch on every chunk first.
+	if scan() == 0 {
+		t.Fatal("workload produced no PAM candidates; the test would not exercise the compare")
+	}
+	allocs := testing.AllocsPerRun(50, func() { scan() })
 	if allocs != 0 {
 		t.Errorf("scan allocated %.1f times per pass over %d chunks, want 0", allocs, len(chunks))
 	}
@@ -194,8 +81,8 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 // TestCPURunStopsOnScanError checks the early-cancellation path: when a
 // chunk scan fails, the failing worker returns and the dispatcher must stop
 // handing out the remaining chunks instead of deadlocking on a channel no
-// one reads. The packed path is the only scan that can fail (invalid bytes
-// at pack time).
+// one reads. Packing is the only scan step that can fail (invalid bytes at
+// pack time).
 func TestCPURunStopsOnScanError(t *testing.T) {
 	data := make([]byte, 8192)
 	for i := range data {
@@ -209,7 +96,7 @@ func TestCPURunStopsOnScanError(t *testing.T) {
 		ChunkBytes: 64, // many chunks, so a stuck dispatcher would hang
 	}
 	for _, workers := range []int{1, 4} {
-		eng := &CPU{Workers: workers, Packed: true}
+		eng := &CPU{Workers: workers}
 		_, err := eng.Run(asm, req)
 		if err == nil {
 			t.Fatalf("workers=%d: invalid chunk accepted", workers)
@@ -218,37 +105,4 @@ func TestCPURunStopsOnScanError(t *testing.T) {
 			t.Errorf("workers=%d: error = %v, want the pack failure", workers, err)
 		}
 	}
-}
-
-// BenchmarkCPUScanTwoPhase races the two-phase in-place scan against the
-// seed single-pass scan on the default synthetic workload.
-func BenchmarkCPUScanTwoPhase(b *testing.B) {
-	chunks, pattern, guides, queries := chunkFixture(b, 7, 1<<18, 1<<14)
-	bytes := int64(0)
-	for _, ch := range chunks {
-		bytes += int64(ch.Body)
-	}
-	b.Run("seed", func(b *testing.B) {
-		b.SetBytes(bytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, ch := range chunks {
-				if _, err := seedScanChunk(ch, pattern, guides, queries); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("twophase", func(b *testing.B) {
-		var sc scanScratch
-		b.SetBytes(bytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, ch := range chunks {
-				if _, err := sc.scanChunk(ch, pattern, guides, queries); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }

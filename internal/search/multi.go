@@ -128,7 +128,7 @@ func (e *MultiSYCL) schedPolicy() *pipeline.Resilience {
 	r := *e.Resilience
 	if r.Fallback == nil {
 		r.Fallback = func(plan *pipeline.Plan) (pipeline.Backend, error) {
-			return newCPUBackend(plan, &CPU{Packed: true}), nil
+			return newCPUBackend(plan), nil
 		}
 	}
 	return &r

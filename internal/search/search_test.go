@@ -17,7 +17,30 @@ import (
 // approximate sites for the given guide+PAM.
 func testAssembly(t *testing.T, seed int64, seqLens []int, site string) *genome.Assembly {
 	t.Helper()
-	return testAssemblyTB(t, seed, seqLens, site)
+	rng := rand.New(rand.NewSource(seed))
+	asm := &genome.Assembly{Name: "test"}
+	alphabet := []byte("ACGTacgtN")
+	for si, n := range seqLens {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		for p := 16; p+len(site)+4 < n; p += 96 + rng.Intn(64) {
+			mutated := []byte(site)
+			for m := 0; m < rng.Intn(4); m++ {
+				mutated[rng.Intn(len(mutated))] = "ACGT"[rng.Intn(4)]
+			}
+			if rng.Intn(2) == 0 {
+				genome.ReverseComplement(mutated)
+			}
+			copy(data[p:], mutated)
+		}
+		asm.Sequences = append(asm.Sequences, &genome.Sequence{
+			Name: string(rune('a' + si)),
+			Data: data,
+		})
+	}
+	return asm
 }
 
 const (
@@ -348,24 +371,20 @@ func TestNilDeviceErrors(t *testing.T) {
 	}
 }
 
-// TestPackedEngineEquivalence: the 2-bit packed scan path returns
-// byte-identical results to the default byte path, including sites, on
-// randomized genomes with soft masking and Ns.
+// TestPackedEngineEquivalence: the CPU engine's 2-bit packed scan returns
+// exactly the scalar baseline's hits, including sites, on randomized
+// genomes with soft masking and Ns.
 func TestPackedEngineEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		asm := testAssembly(t, seed, []int{300 + rng.Intn(500)}, testSite)
 		req := testRequest(rng.Intn(4))
 		req.ChunkBytes = 100 + rng.Intn(400)
-		plain, err := (&CPU{Workers: 2}).Run(asm, req)
+		got, err := (&CPU{Workers: 2}).Run(asm, req)
 		if err != nil {
 			return false
 		}
-		packed, err := (&CPU{Workers: 2, Packed: true}).Run(asm, req)
-		if err != nil {
-			return false
-		}
-		return equalHits(plain, packed)
+		return equalHits(got, baselineHits(t, asm, req))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -373,8 +392,8 @@ func TestPackedEngineEquivalence(t *testing.T) {
 }
 
 // TestPackedEngineAmbiguityCodes: rare IUPAC codes in the genome collapse
-// to unknown in the packed format; both paths must treat them as matching
-// only a pattern N.
+// to unknown in the packed format; the CPU engine must treat them as
+// matching only a pattern N, exactly as the scalar baseline does.
 func TestPackedEngineAmbiguityCodes(t *testing.T) {
 	asm := &genome.Assembly{Name: "amb", Sequences: []*genome.Sequence{
 		{Name: "s", Data: []byte("ACCGATTRCAGGTTTGATTACAGG")},
@@ -384,18 +403,15 @@ func TestPackedEngineAmbiguityCodes(t *testing.T) {
 		Queries:    []Query{{Guide: "GATTACANN", MaxMismatches: 1}},
 		ChunkBytes: 64,
 	}
-	plain, err := (&CPU{}).Run(asm, req)
+	got, err := (&CPU{}).Run(asm, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := (&CPU{Packed: true}).Run(asm, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) == 0 {
+	want := baselineHits(t, asm, req)
+	if len(want) == 0 {
 		t.Fatal("expected hits")
 	}
-	if !equalHits(plain, packed) {
-		t.Errorf("ambiguity handling diverges: %+v vs %+v", plain, packed)
+	if !equalHits(got, want) {
+		t.Errorf("ambiguity handling diverges: %+v vs %+v", got, want)
 	}
 }

@@ -510,7 +510,8 @@ func (b *clBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) {
 
 		if s.n > 0 {
 			// Compact the candidates into the comparer's exact-size input with
-			// device-to-device copies, one per claimed page: the comparer
+			// device-to-device copies, one per claimed page in owning-group
+			// order (so the comparer's input is schedule-independent): the comparer
 			// indexes loci/flags densely in [0, n), so a page-strided view
 			// would not do, and an on-device compaction keeps the candidates
 			// off the PCIe bus entirely — the host only ever reads the arena's
@@ -522,7 +523,7 @@ func (b *clBackend) Find(ctx context.Context, st pipeline.Staged) (int, error) {
 				return 0, err
 			}
 			pos := 0
-			for p := 0; p < geo.Claimed; p++ {
+			for _, p := range geo.Order {
 				n := geo.Counts[p]
 				if _, err := opencl.EnqueueCopyBuffer[uint32](b.queue, lociBuf, s.cLociBuf, p*layout.PageSlots, pos, n); err != nil {
 					return 0, err
@@ -664,7 +665,7 @@ func (b *clBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) err
 			mmCount := make([]uint16, cnt)
 			dirs := make([]byte, cnt)
 			pos := 0
-			for p := 0; p < geo.Claimed; p++ {
+			for _, p := range geo.Order {
 				n := geo.Counts[p]
 				base := p * layout.PageSlots
 				if _, err := opencl.EnqueueReadBuffer(b.queue, mmLociBuf, true, base, n, mmLoci[pos:]); err != nil {

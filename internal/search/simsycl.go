@@ -556,13 +556,14 @@ func (b *syclBackend) Find(ctx context.Context, st pipeline.Staged) (int, error)
 	return s.n, nil
 }
 
-// copyPages drains the claimed pages of a page-strided arena buffer into a
-// compact destination with one device-side copy command group per page —
+// copyPages drains the claimed pages of a page-strided arena buffer, in
+// owning-group order, into a compact destination with one device-side copy
+// command group per page —
 // cgh.copy(srcAccessor, dstAccessor) over ranged accessors. Each copy is
 // waited on so the caller may destroy the source afterwards.
 func copyPages[T any](q *sycl.Queue, src, dst *sycl.Buffer[T], geo *alloc.Geometry) error {
 	pos := 0
-	for p := 0; p < geo.Claimed; p++ {
+	for _, p := range geo.Order {
 		n := geo.Counts[p]
 		base := p * geo.PageSlots
 		at := pos
@@ -755,7 +756,7 @@ func (b *syclBackend) Compare(ctx context.Context, st pipeline.Staged, qi int) (
 			mmLoci := make([]uint32, 0, cnt)
 			mmCount := make([]uint16, 0, cnt)
 			dirs := make([]byte, 0, cnt)
-			for p := 0; p < geo.Claimed; p++ {
+			for _, p := range geo.Order {
 				n := geo.Counts[p]
 				base := p * layout.PageSlots
 				lo, err := mmLociBuf.SnapshotRange(base, n)

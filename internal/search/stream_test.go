@@ -10,11 +10,12 @@ import (
 )
 
 // streamEngines is the full engine list for stream/batch equivalence: the
-// shared trio plus the packed CPU path and the seed-and-extend engine.
+// shared trio, the CPU engine with one scan worker (the schedule a
+// single-CPU host runs by default) and the seed-and-extend engine.
 func streamEngines(t *testing.T) []Engine {
 	t.Helper()
 	return append(engines(t),
-		&CPU{Workers: 2, Packed: true},
+		&CPU{Workers: 1},
 		&Indexed{Workers: 2, MinSeedLen: 3},
 	)
 }

@@ -14,9 +14,9 @@ import (
 // lanes plus one accumulator word per nucleotide marking the lanes whose
 // IUPAC mask admits that base. Mismatch counting is then four XOR-derived
 // equality planes, three ANDs/ORs and one OnesCount64 per pattern word,
-// and PAM-candidate finding tests 32 genome positions per iteration. A
-// per-base scalar path (maskedPattern in packed.go, plus ScalarMismatches
-// below) is kept as the equivalence-test reference.
+// and PAM-candidate finding tests 32 genome positions per iteration. This
+// is the CPU engine's only scan core; internal/baseline is the scalar
+// oracle the equivalence and fuzz tests pin it against.
 
 // bitIdx is one indexed pattern position of a strand half: its offset from
 // the window start and its IUPAC mask.
@@ -40,12 +40,11 @@ type bitHalf struct {
 }
 
 // BitPattern is a PatternPair compiled for word-parallel scanning over a
-// genome.WordView. Exported so the repository benchmarks can pit the SWAR
-// and scalar mismatch kernels against each other.
+// genome.WordView. Exported so the repository benchmarks can time the SWAR
+// mismatch kernel on its own.
 type BitPattern struct {
 	pair  *kernels.PatternPair
-	masks []genome.Mask // parallel to pair.Codes, for the scalar reference
-	words int           // pattern words per strand half: ceil(PatternLen/32)
+	words int // pattern words per strand half: ceil(PatternLen/32)
 	half  [2]bitHalf
 }
 
@@ -53,14 +52,7 @@ type BitPattern struct {
 // halves.
 func CompileBitPattern(pair *kernels.PatternPair) *BitPattern {
 	plen := pair.PatternLen
-	b := &BitPattern{
-		pair:  pair,
-		masks: make([]genome.Mask, len(pair.Codes)),
-		words: (plen + 31) / 32,
-	}
-	for i, c := range pair.Codes {
-		b.masks[i] = genome.MaskOf(c)
-	}
+	b := &BitPattern{pair: pair, words: (plen + 31) / 32}
 	for hi := 0; hi < 2; hi++ {
 		offset := hi * plen
 		h := &b.half[hi]
@@ -73,7 +65,7 @@ func CompileBitPattern(pair *kernels.PatternPair) *BitPattern {
 			if k == -1 {
 				break
 			}
-			m := b.masks[offset+int(k)]
+			m := genome.MaskOf(pair.Codes[offset+int(k)])
 			w, bit := int(k)>>5, uint(k&31)*2
 			h.lanes[w] |= 1 << bit
 			for c := 0; c < 4; c++ {
@@ -124,8 +116,8 @@ func (h *bitHalf) mismatchWord(text, unk uint64, w int) int {
 // Mismatches counts mismatching indexed positions of the strand half
 // selected by offset (0 or PatternLen) for the window starting at pos,
 // giving up past the limit. The pass/fail decision and the passing counts
-// are identical to the scalar paths; a failing count may exceed the
-// scalar's limit+1 because whole words are counted at a time.
+// are identical to a per-base count; a failing count may exceed limit+1
+// because whole words are counted at a time.
 func (b *BitPattern) Mismatches(v *genome.WordView, pos, offset, limit int) (int, bool) {
 	h := &b.half[b.halfIndex(offset)]
 	mm := 0
@@ -195,31 +187,10 @@ func (b *BitPattern) MatchLanes(v *genome.WordView, pos0, offset int) uint64 {
 	return lanes
 }
 
-// ScalarMismatches is the per-base packed reference the SWAR equivalence
-// tests and the BenchmarkSWARVsScalar baseline run against: the same
-// result as Mismatches, computed one Packed.Code lookup at a time.
-func (b *BitPattern) ScalarMismatches(p *genome.Packed, pos, offset, limit int) (int, bool) {
-	mm := 0
-	for j := 0; j < b.pair.PatternLen; j++ {
-		k := b.pair.Index[offset+j]
-		if k == -1 {
-			break
-		}
-		code, known := p.Code(pos + int(k))
-		if !known || b.masks[offset+int(k)]&(1<<code) == 0 {
-			mm++
-			if mm > limit {
-				return mm, false
-			}
-		}
-	}
-	return mm, true
-}
-
 // findSWARCandidates is the word-parallel PAM prefilter: 32 candidate
 // positions per iteration, both strands, with the tail past the chunk body
-// clamped off. Candidate order matches the scalar finders (ascending
-// position), so downstream phases cannot tell which finder ran. base maps
+// clamped off. Candidates come out in ascending position, the same order
+// an artifact's PAM shard yields (candidatesFromShard). base maps
 // chunk-local positions into v's coordinates: 0 when v is the chunk's own
 // word view, ch.Start when v is a whole-sequence view resident in a genome
 // artifact (the chunk aliases sequence bytes, so the windows are the same
@@ -253,9 +224,9 @@ func (sc *scanScratch) findSWARCandidates(ch *genome.Chunk, v *genome.WordView, 
 }
 
 // compareSWAR tests one guide's compiled pattern at every surviving
-// candidate — the word-parallel counterpart of comparePacked, used when the
-// batched multi-pattern path is disabled. base shifts chunk-local candidate
-// positions into v's coordinates (see findSWARCandidates).
+// candidate — the single-guide form of cpuBackend.CompareAll. base shifts
+// chunk-local candidate positions into v's coordinates (see
+// findSWARCandidates).
 func (sc *scanScratch) compareSWAR(v *genome.WordView, g *BitPattern, qi, limit, base int) {
 	plen := g.pair.PatternLen
 	for _, cd := range sc.cand {

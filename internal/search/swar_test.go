@@ -12,9 +12,9 @@ import (
 	"casoffinder/internal/kernels"
 )
 
-// TestSWARPathsEquivalence: the byte path, the batched SWAR path, the
-// unbatched SWAR path and the per-base scalar packed reference all return
-// byte-identical hits on randomized genomes.
+// TestSWARPathsEquivalence: the CPU engine's batched SWAR scan returns
+// exactly the scalar baseline's hits on randomized multi-sequence genomes
+// with several guides and random chunk budgets.
 func TestSWARPathsEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -27,25 +27,14 @@ func TestSWARPathsEquivalence(t *testing.T) {
 			},
 			ChunkBytes: 100 + rng.Intn(400),
 		}
-		want, err := (&CPU{Workers: 2}).Run(asm, req)
+		got, err := (&CPU{Workers: 2}).Run(asm, req)
 		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		for _, eng := range []*CPU{
-			{Workers: 2, Packed: true},
-			{Workers: 2, Packed: true, NoBatch: true},
-			{Workers: 2, Packed: true, Scalar: true},
-		} {
-			got, err := eng.Run(asm, req)
-			if err != nil {
-				t.Logf("seed %d: %v", seed, err)
-				return false
-			}
-			if !equalHits(got, want) {
-				t.Logf("seed %d: packed=%v scalar=%v nobatch=%v diverged (%d vs %d hits)",
-					seed, eng.Packed, eng.Scalar, eng.NoBatch, len(got), len(want))
-				return false
-			}
+		if want := baselineHits(t, asm, req); !equalHits(got, want) {
+			t.Logf("seed %d: SWAR scan diverged from the baseline (%d vs %d hits)", seed, len(got), len(want))
+			return false
 		}
 		return true
 	}
@@ -55,16 +44,16 @@ func TestSWARPathsEquivalence(t *testing.T) {
 }
 
 // TestSWARFinderMatchesScalar: the 32-wide MatchLanes prefilter selects
-// exactly the candidates (positions and strand bits) of the per-base
-// packed finder, including at chunk-body tails that are not a multiple
-// of 32.
+// exactly the candidates (positions and strand bits) of a per-position
+// byte-window scaffold test, including at chunk-body tails that are not a
+// multiple of 32.
 func TestSWARFinderMatchesScalar(t *testing.T) {
 	pair, err := kernels.NewPatternPair([]byte(testPattern))
 	if err != nil {
 		t.Fatal(err)
 	}
 	bp := CompileBitPattern(pair)
-	mp := newMaskedPattern(pair)
+	plen := pair.PatternLen
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{12, 40, 63, 64, 65, 200, 333} {
 		data := make([]byte, n)
@@ -76,24 +65,36 @@ func TestSWARFinderMatchesScalar(t *testing.T) {
 				data[i] = alphabet[rng.Intn(len(alphabet))]
 			}
 		}
-		body := n - pair.PatternLen + 1
+		body := n - plen + 1
 		if body <= 0 {
 			continue
+		}
+		var want []candidate
+		for pos := 0; pos < body; pos++ {
+			var strand uint8
+			if windowMatches(data[pos:pos+plen], pair, 0) {
+				strand |= strandFwd
+			}
+			if windowMatches(data[pos:pos+plen], pair, plen) {
+				strand |= strandRev
+			}
+			if strand != 0 {
+				want = append(want, candidate{pos: pos, strand: strand})
+			}
 		}
 		ch := &genome.Chunk{SeqName: "s", Data: data, Body: body}
 		packed, err := genome.Pack(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var a, b scanScratch
-		a.findPackedCandidates(ch, packed, mp)
-		b.findSWARCandidates(ch, packed.WordView(nil), bp, 0)
-		if len(a.cand) != len(b.cand) {
-			t.Fatalf("n=%d: scalar found %d candidates, SWAR %d", n, len(a.cand), len(b.cand))
+		var sc scanScratch
+		sc.findSWARCandidates(ch, packed.WordView(nil), bp, 0)
+		if len(sc.cand) != len(want) {
+			t.Fatalf("n=%d: byte scan found %d candidates, SWAR %d", n, len(want), len(sc.cand))
 		}
-		for i := range a.cand {
-			if a.cand[i] != b.cand[i] {
-				t.Fatalf("n=%d candidate %d: scalar %+v, SWAR %+v", n, i, a.cand[i], b.cand[i])
+		for i := range want {
+			if sc.cand[i] != want[i] {
+				t.Fatalf("n=%d candidate %d: byte scan %+v, SWAR %+v", n, i, want[i], sc.cand[i])
 			}
 		}
 	}
@@ -155,7 +156,7 @@ func TestBatchedMatchesPerPattern(t *testing.T) {
 func TestBitParallelSimEngines(t *testing.T) {
 	asm := testAssembly(t, 61, []int{700, 450, 90}, testSite)
 	req := testRequest(2)
-	want, err := (&CPU{Workers: 2, Packed: true}).Run(asm, req)
+	want, err := (&CPU{Workers: 2}).Run(asm, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +179,8 @@ func TestBitParallelSimEngines(t *testing.T) {
 }
 
 // FuzzSWARMismatch: on arbitrary IUPAC patterns and sequences the SWAR
-// mismatch count, the per-base scalar packed count and the byte-path count
-// agree exactly, for every strand half and limit.
+// mismatch count and the byte-window count agree exactly, for every strand
+// half and limit.
 func FuzzSWARMismatch(f *testing.F) {
 	f.Add([]byte("NNNNNNNNNNGG"), []byte("GATTACAGTAGGACGTACGTNNRYacgt"), 0)
 	f.Add([]byte("GANNTTNRYNGG"), []byte("gattacagtaggACGTACGT"), 3)
@@ -207,19 +208,18 @@ func FuzzSWARMismatch(f *testing.F) {
 		for pos := 0; pos+plen <= len(seq); pos++ {
 			for _, offset := range []int{0, plen} {
 				mm, ok := bp.Mismatches(v, pos, offset, limit)
-				smm, sok := bp.ScalarMismatches(packed, pos, offset, limit)
 				bmm, bok := countMismatches(upper[pos:pos+plen], pair, offset, limit)
-				if ok != sok || ok != bok {
-					t.Fatalf("pos %d offset %d: pass/fail diverges: SWAR %v, scalar %v, byte %v",
-						pos, offset, ok, sok, bok)
+				if ok != bok {
+					t.Fatalf("pos %d offset %d: pass/fail diverges: SWAR %v, byte %v",
+						pos, offset, ok, bok)
 				}
 				if ok {
 					// Counts are exact only on the pass side; the rejecting
 					// paths stop at different points past the limit (the
 					// SWAR core counts a whole word at a time).
-					if mm != smm || mm != bmm {
-						t.Fatalf("pos %d offset %d: SWAR %d != scalar %d / byte %d mismatches",
-							pos, offset, mm, smm, bmm)
+					if mm != bmm {
+						t.Fatalf("pos %d offset %d: SWAR %d != byte %d mismatches",
+							pos, offset, mm, bmm)
 					}
 				} else if mm <= limit {
 					t.Fatalf("pos %d offset %d: rejected with mm %d <= limit %d", pos, offset, mm, limit)

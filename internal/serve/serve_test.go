@@ -709,7 +709,9 @@ func TestGracefulDrain(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) { c.Metrics = obs.NewMetrics() })
-	postSearch(t, ts, searchBody, nil)
+	// Read the stream to its end first: headers arrive with the first hit,
+	// and the request's terminal status is counted only once the pass ends.
+	readStream(t, postSearch(t, ts, searchBody, nil))
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
