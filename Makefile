@@ -32,9 +32,8 @@ race:
 # CPU-vs-baseline equivalence tests and the metrics-parity tests, three runs
 # each at GOMAXPROCS=1, 2 and 4, so a result that depends on goroutine
 # scheduling fails here instead of only on a wider or busier host.
-DETERMINISM_PROCS ?= 1 2 4
 determinism:
-	@set -e; for p in $(DETERMINISM_PROCS); do \
+	@set -e; for p in 1 2 4; do \
 		echo "determinism: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -race -count 3 ./internal/search/ -run 'TestSimStatsScheduleDeterministic|TestEnginesMatchBaseline|TestEnginesEquivalentProperty|TestSWARPathsEquivalence|TestSWARFinderMatchesScalar|TestPackedEngine|FuzzSWARMismatch|TestMetricsAgreeWithProfile|TestMultiSYCLMergeParity|TestMultiSYCLSchedMetricsParity'; \
 		GOMAXPROCS=$$p $(GO) test -race -count 3 ./internal/kernels/ -run 'TestCooperativeMatchesLegacy'; \

@@ -214,7 +214,6 @@ func Decode(cursor uint32, count, pageOf []uint32, pageSlots, pages int) (*Geome
 			"alloc: page cursor %d exceeds %d provisioned pages", cursor, pages)
 	}
 	g := &Geometry{PageSlots: pageSlots, Claimed: int(cursor), Counts: make([]int, cursor), Order: make([]int, 0, cursor)}
-	owned := 0
 	for grp, p := range pageOf {
 		n := count[grp]
 		switch {
@@ -242,12 +241,11 @@ func Decode(cursor uint32, count, pageOf []uint32, pageSlots, pages int) (*Geome
 			g.Counts[p] = int(n)
 			g.Order = append(g.Order, int(p))
 			g.Total += int(n)
-			owned++
 		}
 	}
-	if owned != g.Claimed {
+	if len(g.Order) != g.Claimed {
 		return nil, fault.Errorf(fault.SiteArena, fault.Corruption,
-			"alloc: cursor claimed %d pages but %d groups own one", g.Claimed, owned)
+			"alloc: cursor claimed %d pages but %d groups own one", g.Claimed, len(g.Order))
 	}
 	return g, nil
 }

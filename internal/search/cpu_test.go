@@ -3,6 +3,8 @@ package search
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -75,6 +77,77 @@ func TestScanInnerLoopZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() { scan() })
 	if allocs != 0 {
 		t.Errorf("scan allocated %.1f times per pass over %d chunks, want 0", allocs, len(chunks))
+	}
+}
+
+// TestCompareMatchesCompareAll pins the single-guide Compare, which the
+// pipeline never calls on the CPU backend because CompareAll exists: after
+// Find, running Compare for each guide must produce exactly the entries the
+// batched CompareAll produces on the same chunk.
+func TestCompareMatchesCompareAll(t *testing.T) {
+	asm := testAssembly(t, 12, []int{2000, 1500}, testSite)
+	plan, err := pipeline.Compile(&Request{
+		Pattern: testPattern,
+		Queries: []Query{
+			{Guide: testGuide, MaxMismatches: 3},
+			{Guide: "GATTTCAGTANN", MaxMismatches: 2},
+			{Guide: "CCCCCCCCCCNN", MaxMismatches: 0},
+		},
+		ChunkBytes: 300,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := plan.Chunker.Plan(asm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	b := newCPUBackend(plan)
+	entries := func(ch *genome.Chunk, batched bool) []rawHit {
+		st, err := b.Stage(ctx, ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Release(st)
+		if _, err := b.Find(ctx, st); err != nil {
+			t.Fatal(err)
+		}
+		if batched {
+			err = b.CompareAll(ctx, st)
+		} else {
+			for qi := range plan.Guides {
+				if err = b.Compare(ctx, st, qi); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := append([]rawHit(nil), st.(*cpuStaged).sc.entries...)
+		sort.Slice(got, func(i, j int) bool {
+			a, b := got[i], got[j]
+			if a.qi != b.qi {
+				return a.qi < b.qi
+			}
+			if a.pos != b.pos {
+				return a.pos < b.pos
+			}
+			return a.dir < b.dir
+		})
+		return got
+	}
+	total := 0
+	for _, ch := range chunks {
+		one, all := entries(ch, false), entries(ch, true)
+		if !reflect.DeepEqual(one, all) {
+			t.Fatalf("chunk %s:%d: Compare entries %v, CompareAll entries %v", ch.SeqName, ch.Start, one, all)
+		}
+		total += len(all)
+	}
+	if total == 0 {
+		t.Fatal("workload produced no entries; the test would not exercise the compare")
 	}
 }
 
