@@ -29,13 +29,14 @@ race:
 
 # Schedule-determinism gate under the race detector: the simulator Stats
 # regression test, the kernels' cooperative-vs-legacy Stats parity, the
-# CPU-vs-baseline equivalence tests and the metrics-parity tests, three runs
-# each at GOMAXPROCS=1, 2 and 4, so a result that depends on goroutine
-# scheduling fails here instead of only on a wider or busier host.
+# CPU-vs-baseline equivalence tests, the metrics-parity tests and the
+# reused-engine fault-delta test (a late SYCL async delivery racing the next
+# run), three runs each at GOMAXPROCS=1, 2 and 4, so a result that depends on
+# goroutine scheduling fails here instead of only on a wider or busier host.
 determinism:
 	@set -e; for p in 1 2 4; do \
 		echo "determinism: GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p $(GO) test -race -count 3 ./internal/search/ -run 'TestSimStatsScheduleDeterministic|TestEnginesMatchBaseline|TestEnginesEquivalentProperty|TestSWARPathsEquivalence|TestSWARFinderMatchesScalar|TestPackedEngine|FuzzSWARMismatch|TestMetricsAgreeWithProfile|TestMultiSYCLMergeParity|TestMultiSYCLSchedMetricsParity'; \
+		GOMAXPROCS=$$p $(GO) test -race -count 3 ./internal/search/ -run 'TestSimStatsScheduleDeterministic|TestEnginesMatchBaseline|TestEnginesEquivalentProperty|TestSWARPathsEquivalence|TestSWARFinderMatchesScalar|TestPackedEngine|FuzzSWARMismatch|TestMetricsAgreeWithProfile|TestMultiSYCLMergeParity|TestMultiSYCLSchedMetricsParity|TestReusedEngineFaultDelta'; \
 		GOMAXPROCS=$$p $(GO) test -race -count 3 ./internal/kernels/ -run 'TestCooperativeMatchesLegacy'; \
 		GOMAXPROCS=$$p $(GO) test -race -count 3 ./internal/gpu/ -run 'TestPhasesStatsParity'; \
 	done

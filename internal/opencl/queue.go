@@ -26,10 +26,8 @@ type CommandQueue struct {
 	ctx *Context
 	dev *Device
 
-	mu         sync.Mutex
-	released   bool
-	outOfOrder bool
-	pending    []*Event
+	mu       sync.Mutex
+	released bool
 }
 
 // CreateCommandQueue creates a queue for one device of the context
@@ -69,45 +67,30 @@ func (q *CommandQueue) Release() error {
 	return nil
 }
 
-// Finish blocks until all enqueued commands complete (clFinish). On an
-// in-order queue every command has already completed under the synchronous
-// schedule; on an out-of-order queue Finish waits for the outstanding
-// asynchronous commands.
+// Finish blocks until all enqueued commands complete (clFinish). The queue
+// is in-order and runs every command at enqueue time, so Finish only checks
+// that the queue is still usable.
 func (q *CommandQueue) Finish() error {
-	if err := q.use(); err != nil {
-		return err
-	}
-	return q.finishPending()
+	return q.use()
 }
 
-// Event tracks one enqueued command — step 12 of Table I. Wait blocks until
-// the command completes; Stats exposes the kernel launch statistics for
-// kernel events (nil for transfers). Events from in-order queues are
-// complete on return; events from out-of-order queues complete
-// asynchronously.
+// Event tracks one enqueued command — step 12 of Table I. Stats exposes the
+// kernel launch statistics for kernel events (nil for transfers). The
+// in-order queue completes each command before its enqueue call returns,
+// and reports a failed command as that call's error, so an event is always
+// complete and successful.
 type Event struct {
 	kernelName string
 	stats      *gpu.Stats
-	err        error
-	done       chan struct{} // nil for already-complete events
 }
 
-// Wait blocks until the command completes (clWaitForEvents).
-func (e *Event) Wait() error {
-	if e.done != nil {
-		<-e.done
-	}
-	return e.err
-}
+// Wait blocks until the command completes (clWaitForEvents); an in-order
+// queue's event is already complete.
+func (e *Event) Wait() error { return nil }
 
-// Stats returns the launch statistics of a kernel event (after completion),
-// or nil for transfers.
-func (e *Event) Stats() *gpu.Stats {
-	if e.done != nil {
-		<-e.done
-	}
-	return e.stats
-}
+// Stats returns the launch statistics of a kernel event, or nil for
+// transfers.
+func (e *Event) Stats() *gpu.Stats { return e.stats }
 
 // KernelName returns the kernel that produced the event, or "".
 func (e *Event) KernelName() string { return e.kernelName }

@@ -1,8 +1,8 @@
 package search
 
-// Arena provisioning shared by the simulator backends (SimCL, SimSYCL and,
-// through SimSYCL, MultiSYCL): how many pages each launch's hit-buffer
-// arena gets, and where the prediction comes from. Provisioning is
+// Arena provisioning for the device-pass driver (devicepass.go) that SimCL,
+// SimSYCL and MultiSYCL run: how many pages each launch's hit-buffer arena
+// gets, and where the prediction comes from. Provisioning is
 // page-granular — every emitting work-group claims exactly one page however
 // few entries it writes — so what is predicted is the *fraction of groups
 // that emit*, not the entry count. The worst case (one page per group) is

@@ -162,7 +162,8 @@ func TestDenseRegionSeededFaults(t *testing.T) {
 // crash: a chunk with Body == 0 (representable — a tail that only carries
 // overlap bases) used to reach the finder enqueue, whose zero-size launch
 // reported zero work-groups and crashed the pad recovery with a division by
-// zero. Find must skip the launch and report zero candidates.
+// zero. Find must skip the launch and report zero candidates, through both
+// frontends' adapters.
 func TestZeroBodyChunkFind(t *testing.T) {
 	req := denseRequest()
 	plan, err := pipeline.Compile(req)
@@ -178,32 +179,24 @@ func TestZeroBodyChunkFind(t *testing.T) {
 		Overlap:  11,
 	}
 	ctx := context.Background()
-
-	cl, err := newCLBackend(&SimCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base}, plan)
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range []*frontend{
+		(&SimCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base}).frontend(),
+		(&SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base, WorkGroupSize: 64}).frontend(),
+	} {
+		d, err := newDevicePass(f, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := d.Stage(ctx, ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := d.Find(ctx, st); err != nil || n != 0 {
+			t.Errorf("%s Find on zero-body chunk = (%d, %v), want (0, nil)", f.name, n, err)
+		}
+		d.Release(st)
+		if err := d.Close(); err != nil {
+			t.Errorf("%s Close: %v", f.name, err)
+		}
 	}
-	defer cl.Close()
-	st, err := cl.Stage(ctx, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := cl.Find(ctx, st); err != nil || n != 0 {
-		t.Errorf("opencl Find on zero-body chunk = (%d, %v), want (0, nil)", n, err)
-	}
-	cl.Release(st)
-
-	sy, err := newSYCLBackend(&SimSYCL{Device: gpu.New(device.MI100(), gpu.WithWorkers(4)), Variant: kernels.Base, WorkGroupSize: 64}, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sy.Close()
-	st, err = sy.Stage(ctx, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := sy.Find(ctx, st); err != nil || n != 0 {
-		t.Errorf("sycl Find on zero-body chunk = (%d, %v), want (0, nil)", n, err)
-	}
-	sy.Release(st)
 }

@@ -82,39 +82,24 @@ func (e *MultiSYCL) Run(asm *genome.Assembly, req *Request) ([]Hit, error) {
 	return Collect(context.Background(), e, asm, req)
 }
 
-func (e *MultiSYCL) wgSize() int {
-	if e.WorkGroupSize > 0 {
-		return e.WorkGroupSize
-	}
-	return DefaultSYCLWorkGroup
-}
-
-// deviceWeights derives each device's scheduling weight from the timing
-// model: the inverse of the estimated cost of one chunk on that device,
-// with the finder/comparer launch contexts (occupancy, register pressure)
-// built by the autotuner's cost model from internal/isa. When the tuner ran
-// (tuned non-nil), each device is priced at its own selected (variant,
-// work-group size) pair, so a heterogeneous fleet's shards reflect the
-// kernels it will actually launch. A faster device gets a proportionally
-// larger initial shard.
-func (e *MultiSYCL) deviceWeights(req *Request, tuned []*tune.Decision) []float64 {
-	plen := len(req.Pattern)
+// deviceWeight derives a device's scheduling weight from the timing model:
+// the inverse of the estimated cost of one chunk on that device, with the
+// finder/comparer launch contexts (occupancy, register pressure) built by
+// the autotuner's cost model from internal/isa. The device is priced at the
+// (variant, work-group size) pair its SYCL frontend will launch — its own
+// tuned selection when the tuner ran — so a heterogeneous fleet's shards
+// reflect the kernels it will actually run. A faster device gets a
+// proportionally larger initial shard.
+func deviceWeight(req *Request, f *frontend) float64 {
 	chunkBytes := req.ChunkBytes
 	if chunkBytes <= 0 {
 		chunkBytes = pipeline.DefaultChunkBytes
 	}
-	weights := make([]float64, len(e.Devices))
-	for i, d := range e.Devices {
-		v, wg := e.Variant, e.wgSize()
-		if tuned != nil && tuned[i] != nil {
-			v, wg = tuned[i].Variant, tuned[i].WGSize
-		}
-		est := tune.Estimate(d.Spec(), v, wg, plen, len(req.Queries))
-		if sec := est.Seconds(chunkBytes); sec > 0 {
-			weights[i] = 1 / sec
-		}
+	est := tune.Estimate(f.dev.Spec(), f.variant(), f.wgSize(), len(req.Pattern), len(req.Queries))
+	if sec := est.Seconds(chunkBytes); sec > 0 {
+		return 1 / sec
 	}
-	return weights
+	return 0
 }
 
 // schedPolicy copies the engine policy for the scheduler, defaulting the
@@ -151,47 +136,32 @@ func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Reque
 		}
 	}
 
-	// Resolve the tuner per device before seeding the fleet: repeated
-	// device types hit the tune package's memoized decision, so an N-GPU
-	// homogeneous fleet scores (and calibrates) once.
-	var tuned []*tune.Decision
-	if e.Auto {
-		tuned = make([]*tune.Decision, len(e.Devices))
-		for i, dev := range e.Devices {
-			d, err := autotuneDecision(dev, req, e.WorkGroupSize, e.Calibrate)
-			if err != nil {
-				return fmt.Errorf("search: %s: autotune device %d: %w", e.Name(), i, err)
-			}
-			tuned[i] = d
+	// One SYCL frontend per device, its tuner resolved before the fleet is
+	// seeded: repeated device types hit the tune package's memoized
+	// decision, so an N-GPU homogeneous fleet scores (and calibrates) once.
+	fronts := make([]*frontend, len(e.Devices))
+	for i, dev := range e.Devices {
+		fronts[i] = (&SimSYCL{
+			Device: dev, Variant: e.Variant, WorkGroupSize: e.WorkGroupSize,
+			Auto: e.Auto, Calibrate: e.Calibrate, WorstCaseArena: e.WorstCaseArena,
+			Trace: e.Trace, Metrics: e.Metrics, Track: fmt.Sprintf("sycl-sim[%d]", i),
+		}).frontend()
+		if err := fronts[i].autotune(req); err != nil {
+			return fmt.Errorf("search: %s: autotune device %d: %w", e.Name(), i, err)
 		}
 	}
-
-	// One SimSYCL shell per device: the scheduler opens its syclBackend
-	// (at most once per run), and the shell's profile collects what that
-	// device did. Sub-engines share the run's tracer and metrics.
-	subEngines := make([]*SimSYCL, len(e.Devices))
+	// The scheduler opens each device's pass at most once per run, and the
+	// frontend's profile collects what that device did. Sub-engines share
+	// the run's tracer and metrics.
 	marks := make([]int, len(e.Devices))
 	fleet := make([]sched.Device, len(e.Devices))
-	weights := e.deviceWeights(req, tuned)
-	for i, dev := range e.Devices {
-		sub := &SimSYCL{
-			Device: dev, Variant: e.Variant, WorkGroupSize: e.WorkGroupSize,
-			WorstCaseArena: e.WorstCaseArena,
-			Trace:          e.Trace, Metrics: e.Metrics, Track: fmt.Sprintf("sycl-sim[%d]", i),
-		}
-		if tuned != nil {
-			sub.Auto, sub.Calibrate, sub.tuned = true, e.Calibrate, tuned[i]
-		}
-		subEngines[i] = sub
-		dev.SetObs(e.Trace, e.Metrics, sub.track()+"/gpu")
-		// Mark each injector before the run so only this run's fault
-		// delta is folded into the profile.
-		marks[i] = dev.Faults().Mark()
+	for i, f := range fronts {
+		marks[i] = f.watch()
 		fleet[i] = sched.Device{
-			Name:   sub.track(),
-			Weight: weights[i],
+			Name:   f.track,
+			Weight: deviceWeight(req, f),
 			Open: func(plan *pipeline.Plan) (pipeline.Backend, error) {
-				return newSYCLBackend(sub, plan)
+				return newDevicePass(f, plan)
 			},
 		}
 	}
@@ -220,15 +190,14 @@ func (e *MultiSYCL) Stream(ctx context.Context, asm *genome.Assembly, req *Reque
 	// registry of its own: every count already streamed in live, and
 	// folding again here would double-count.
 	merged := newProfile(nil)
-	for i, sub := range subEngines {
-		prof := sub.LastProfile()
-		if prof == nil {
+	for i, f := range fronts {
+		if f.profile() == nil {
 			// The scheduler never opened this device (empty shard, no
 			// steal); it cannot have fired faults either.
 			continue
 		}
-		prof.addFaults(e.Devices[i].Faults().LogSince(marks[i]))
-		merged.merge(prof)
+		f.foldFaults(marks[i])
+		merged.merge(f.profile())
 	}
 	if schedRep != nil {
 		merged.addSched(schedRep)

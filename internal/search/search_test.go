@@ -1,7 +1,9 @@
 package search
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -167,24 +169,55 @@ func TestEnginesEquivalentProperty(t *testing.T) {
 
 // TestOpenCLAndSYCLIdentical is the migration-correctness claim of the
 // paper: the two frontends drive identical kernels and must agree exactly,
-// for every comparer variant.
+// for every comparer variant — in their hits and in everything the shared
+// device-pass driver accounts, so the frontends cannot drift apart. The
+// dense input trips the arena overflow relaunch; the worst-case run pins
+// the provisioning that never overflows. The SYCL side runs at 64, the
+// local size the OpenCL runtime picks for the padded ranges.
 func TestOpenCLAndSYCLIdentical(t *testing.T) {
-	asm := testAssembly(t, 21, []int{900}, testSite)
-	req := testRequest(3)
+	inputs := []struct {
+		name  string
+		asm   *genome.Assembly
+		req   *Request
+		worst bool
+	}{
+		{"golden", testAssembly(t, 21, []int{900}, testSite), testRequest(3), false},
+		{"dense", denseAssembly(2400, 1600), denseRequest(), false},
+		{"dense-worst-case", denseAssembly(2400, 1600), denseRequest(), true},
+	}
 	dev := gpu.New(device.RadeonVII(), gpu.WithWorkers(4))
-	for _, v := range kernels.Variants() {
-		cl := &SimCL{Device: dev, Variant: v}
-		sy := &SimSYCL{Device: dev, Variant: v, WorkGroupSize: 64}
-		clHits, err := cl.Run(asm, req)
-		if err != nil {
-			t.Fatalf("opencl %s: %v", v, err)
-		}
-		syHits, err := sy.Run(asm, req)
-		if err != nil {
-			t.Fatalf("sycl %s: %v", v, err)
-		}
-		if !equalHits(clHits, syHits) {
-			t.Errorf("variant %s: OpenCL and SYCL engines disagree (%d vs %d hits)", v, len(clHits), len(syHits))
+	for _, in := range inputs {
+		for _, v := range kernels.Variants() {
+			cl := &SimCL{Device: dev, Variant: v, WorstCaseArena: in.worst}
+			sy := &SimSYCL{Device: dev, Variant: v, WorkGroupSize: 64, WorstCaseArena: in.worst}
+			clHits, err := cl.Run(in.asm, in.req)
+			if err != nil {
+				t.Fatalf("%s: opencl %s: %v", in.name, v, err)
+			}
+			syHits, err := sy.Run(in.asm, in.req)
+			if err != nil {
+				t.Fatalf("%s: sycl %s: %v", in.name, v, err)
+			}
+			if !equalHits(clHits, syHits) {
+				t.Errorf("%s: variant %s: OpenCL and SYCL engines disagree (%d vs %d hits)", in.name, v, len(clHits), len(syHits))
+			}
+			cp, sp := cl.LastProfile(), sy.LastProfile()
+			if in.name == "dense" && cp.OverflowRetries == 0 {
+				t.Errorf("%s: variant %s: no overflow relaunch; the input no longer covers the grow path", in.name, v)
+			}
+			counts := func(p *Profile) []int64 {
+				return []int64{int64(p.Chunks), p.BytesStaged, p.BytesRead, p.CandidateSites, p.Entries,
+					p.ArenaBytes, p.ArenaPageClaims, p.OverflowRetries}
+			}
+			if c, s := counts(cp), counts(sp); !slices.Equal(c, s) {
+				t.Errorf("%s: variant %s: accounting differs: opencl %v, sycl %v "+
+					"(chunks, staged, read, candidates, entries, arena bytes, page claims, overflow retries)", in.name, v, c, s)
+			}
+			if !maps.Equal(cp.Kernels, sp.Kernels) || !maps.Equal(cp.Launches, sp.Launches) ||
+				!maps.Equal(cp.WorkGroupSizes, sp.WorkGroupSizes) {
+				t.Errorf("%s: variant %s: kernel accounting differs:\nopencl %v %v %+v\nsycl   %v %v %+v", in.name, v,
+					cp.Launches, cp.WorkGroupSizes, cp.Kernels, sp.Launches, sp.WorkGroupSizes, sp.Kernels)
+			}
 		}
 	}
 }

@@ -278,27 +278,30 @@ func (q *Queue) SubmitCtx(ctx context.Context, cg func(h *Handler) error) *Event
 		}
 	}
 
+	// Errors reach the async handler before the event completes, so once
+	// Wait returns the command group has made every delivery it will make
+	// and no longer touches the device.
 	go func() {
 		for _, d := range deps {
 			if err := d.Wait(); err != nil {
 				err = fmt.Errorf("sycl: dependency failed: %w", err)
-				ev.complete(nil, err)
 				q.deliverAsync(op, err)
+				ev.complete(nil, err)
 				return
 			}
 		}
 		for _, b := range buffers {
 			if err := b.ensureAlloc(q.dev); err != nil {
-				ev.complete(nil, err)
 				q.deliverAsync(op, err)
+				ev.complete(nil, err)
 				return
 			}
 		}
 		stats, err := h.action(q.dev)
-		ev.complete(stats, err)
 		if err != nil {
 			q.deliverAsync(op, err)
 		}
+		ev.complete(stats, err)
 	}()
 	return ev
 }

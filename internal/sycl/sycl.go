@@ -120,8 +120,8 @@ func (e *AsyncError) Unwrap() error { return e.Err }
 
 // AsyncHandler receives asynchronous exceptions, mirroring the
 // sycl::async_handler a queue is constructed with. Handlers run on the
-// command group's completion goroutine and must be safe for concurrent
-// calls.
+// command group's completion goroutine before its event completes, so they
+// must not wait on that event, and must be safe for concurrent calls.
 type AsyncHandler func(*AsyncError)
 
 // Queue encapsulates a device command queue — step 2 of the SYCL column of
